@@ -321,7 +321,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         algorithm_workers=(
             args.workers if args.parallel_scope == "algorithm" else 1
         ),
-        batch_size=args.batch_size,
         flat_index=args.flat_index,
         sanitize=args.sanitize,
         shards=args.shards,
@@ -651,11 +650,6 @@ def main(argv: list[str] | None = None) -> int:
         help="what --workers fans out: whole per-algorithm line-up runs "
         "(lineup) or each partitioned algorithm's internal partition "
         "tasks (algorithm); see docs/parallel.md",
-    )
-    bch.add_argument(
-        "--batch-size", type=int, default=None,
-        help="execution batch size for the vectorized hot path "
-        "(0 = scalar oracle; default: REPRO_BATCH_SIZE or 1024)",
     )
     bch.add_argument(
         "--flat-index", action="store_true", default=None,

@@ -1,4 +1,4 @@
-"""Vectorized code-algebra kernels and the batch-size switch.
+"""Vectorized code-algebra kernels.
 
 Every join in the paper reduces to streaming codes off pages and
 applying pure integer algebra — ``F(n, h)`` rollups, Lemma 3/4
@@ -20,12 +20,12 @@ order-equivalent to the tuple ``(start, -height)`` because heights fit
 in 6 bits (``MAX_CODE_BITS = 63`` bounds them at 62) and the mapping
 ``-h -> 63 - h`` is strictly increasing.
 
-Exactness contract: every kernel is a drop-in for the scalar loop it
-replaces — same results, in the same order.  The scalar path stays in
-the join operators as a differential oracle, selected by setting the
-batch size to 0 (:func:`set_batch_size`); tests drive both paths over
-the same inputs and assert identical output *and* identical I/O
-accounting (see docs/batched-execution.md).
+Exactness contract: every kernel computes exactly what the scalar
+:mod:`.pbitree` helpers compute element by element — same results, in
+the same order.  The join operators run only these kernels; the
+scalar algebra is the oracle the tests check them against, and golden
+line-up reports pin the operators' I/O accounting and emit order (see
+docs/batched-execution.md).
 
 This module is the only place outside :mod:`.pbitree` allowed to spell
 the bit algebra: the ``code-domain`` checker confines ``<<``/``>>``/
@@ -35,20 +35,13 @@ these kernels by name.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, Optional, Sequence, cast
+from typing import Callable, Optional, Sequence, cast
 
 from .pbitree import Height, PBiCode, PrefixCode, RegionCode
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "get_batch_size",
-    "set_batch_size",
-    "batch_scope",
-    "batching_enabled",
     "heights",
     "rollup",
     "rollup_pairs",
@@ -76,74 +69,6 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 1024
 
 EmitFn = Callable[[int, int], None]
-
-_batch_default = DEFAULT_BATCH_SIZE
-
-#: per-context override set by :func:`batch_scope`.  A ``ContextVar``
-#: instead of a module global: one tenant's scope must not flip another
-#: in-flight query's execution mode (threads and asyncio tasks each see
-#: their own context), while the process-wide *default* set by the env
-#: var / CLI / :func:`set_batch_size` is preserved for every context
-#: that has no scope active.
-_batch_var: ContextVar[Optional[int]] = ContextVar("repro_batch_size", default=None)
-
-
-def _env_batch_size() -> Optional[int]:
-    raw = os.environ.get("REPRO_BATCH_SIZE", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return max(0, value)
-
-
-_env_override = _env_batch_size()
-if _env_override is not None:
-    _batch_default = _env_override
-
-
-def get_batch_size() -> int:
-    """Current batch size; 0 selects the scalar differential oracle."""
-    override = _batch_var.get()
-    return _batch_default if override is None else override
-
-
-def set_batch_size(size: int) -> None:
-    """Set the process-wide default batch size (0 disables batching).
-
-    This is startup configuration (CLI flags, env parsing); code that
-    needs a temporary or per-thread/per-task setting must use
-    :func:`batch_scope`, which only affects the calling context.
-    Worker processes under the ``spawn`` start method do not inherit
-    this module state — parallel tasks carry the batch size as an
-    explicit field instead (see :mod:`repro.parallel.tasks`).
-    """
-    if size < 0:
-        raise ValueError(f"batch size must be >= 0, got {size}")
-    global _batch_default
-    _batch_default = size
-
-
-@contextmanager
-def batch_scope(size: int) -> Iterator[None]:
-    """Pin the batch size for the calling context only.
-
-    Context-local (``contextvars``): two threads can run in opposing
-    scopes concurrently without seeing each other's setting.
-    """
-    if size < 0:
-        raise ValueError(f"batch size must be >= 0, got {size}")
-    token = _batch_var.set(size)
-    try:
-        yield
-    finally:
-        _batch_var.reset(token)
-
-
-def batching_enabled() -> bool:
-    return get_batch_size() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +100,7 @@ def rollup_pairs(
     """Bulk ``(effective, original)`` pairs for the MHCJ rollup.
 
     ``effective`` is ``F(c, height)`` for codes strictly below the
-    target height and the code itself otherwise — exactly the serial
+    target height and the code itself otherwise — the
     ``effective_height`` of Algorithm 4.  A code sits below ``height``
     iff its low ``height`` bits are not all zero.
     """
@@ -192,9 +117,9 @@ def probe_keys(codes: Sequence[int], height: int) -> list[int]:
     """Bulk SHCJ probe keys: ``F(c, height)``, or 0 for filtered codes.
 
     A descendant at height >= ``height`` cannot have an ancestor at
-    ``height``; the scalar key function returns ``None`` for it.  Codes
-    are positive, so 0 is a safe in-band "no key" sentinel that keeps
-    the kernel a single comprehension.
+    ``height``; the Grace path's key function returns ``None`` for it.
+    Codes are positive, so 0 is a safe in-band "no key" sentinel that
+    keeps the kernel a single comprehension.
     """
     keep = -(1 << (height + 1))
     bit = 1 << height
@@ -328,9 +253,8 @@ def region_probe(
     form a contiguous code range (Lemma 3) found with two binary
     searches.  ``dedup_above_height`` skips repeated replicated
     ancestors via the caller-owned ``seen_high`` set (shared across
-    batches so the dedup window spans the whole stream, exactly like
-    the serial loop).  Emission order equals the serial loop's:
-    ancestors in input order, descendants ascending.
+    batches so the dedup window spans the whole stream).  Emission
+    order: ancestors in input order, descendants ascending.
     """
     if dedup_above_height is None:
         for a in a_codes:
@@ -362,8 +286,7 @@ def build_height_tables(
 ) -> None:
     """Fold one ancestor batch into per-height hash sets (Algorithm 6).
 
-    The sets de-duplicate replicated ancestors by construction, exactly
-    like the serial A-fits branch.
+    The sets de-duplicate replicated ancestors by construction.
     """
     get = tables.get
     for c in codes:
@@ -383,9 +306,9 @@ def height_probe(
 ) -> None:
     """Algorithm 6, A-fits branch, over one descendant batch.
 
-    ``order`` is the probe order of the heights (descending, as in the
-    serial loop); probing stops at the descendant's own height.  The
-    per-height ``F`` masks are precomputed once per batch.
+    ``order`` is the probe order of the heights (descending); probing
+    stops at the descendant's own height.  The per-height ``F`` masks
+    are precomputed once per batch.
     """
     masks = [(h, -(1 << (h + 1)), 1 << h) for h in order]
     for d in d_codes:
@@ -409,7 +332,7 @@ def height_class_probe(
     ``table`` maps an effective (possibly rolled) code at ``height`` to
     the original codes rolled into it.  A match through a rolled record
     is verified against the original; failures are counted and returned
-    as false hits, exactly as the serial ``_join_height_class``.
+    as false hits.
     """
     keep = -(1 << (height + 1))
     bit = 1 << height

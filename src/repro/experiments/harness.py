@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from ..core import batch
 from ..index import flat
 from ..storage import sanitize as sanitizer
 from ..join.ancdes_b import AncDesBPlusJoin
@@ -262,7 +261,6 @@ def run_lineup(
     workers: int = 1,
     parallel_mode: Optional[str] = None,
     algorithm_workers: int = 1,
-    batch_size: Optional[int] = None,
     flat_index: Optional[bool] = None,
     sanitize: Optional[bool] = None,
     shards: int = 0,
@@ -290,16 +288,11 @@ def run_lineup(
     operators themselves (see :func:`make_algorithm`); the two scopes
     compose but are usually used one at a time.
 
-    ``batch_size`` pins the execution batch size for the whole line-up
-    (0 = scalar oracle); ``None`` keeps the process-wide setting.  The
-    effective size is recorded as the ``batch.size`` metrics gauge and
+    ``flat_index`` pins the flat-index switch for the whole line-up
+    (True = flat static indexes, False = pointer oracle, ``None`` keeps
+    the process-wide :func:`~repro.index.flat.flat_enabled` setting);
+    the effective value is recorded as the ``flat.index`` gauge and
     shipped to line-up workers explicitly.
-
-    ``flat_index`` pins the flat-index switch the same way (True =
-    flat static indexes, False = pointer oracle, ``None`` keeps the
-    process-wide :func:`~repro.index.flat.flat_enabled` setting); the
-    effective value is recorded as the ``flat.index`` gauge and shipped
-    to line-up workers explicitly.
 
     ``sanitize`` pins the view-lifetime sanitizer
     (:mod:`repro.storage.sanitize`) the same way; sanitized runs do no
@@ -321,34 +314,29 @@ def run_lineup(
         if single_height is None:
             raise ValueError("pass algorithms or single_height")
         algorithms = make_lineup(single_height)
-    if batch_size is None:
-        batch_size = batch.get_batch_size()
     if flat_index is None:
         flat_index = flat.flat_enabled()
     if sanitize is None:
         sanitize = sanitizer.sanitize_enabled()
     if metrics is not None:
-        metrics.gauge("batch.size").set(float(batch_size))
         metrics.gauge("flat.index").set(1.0 if flat_index else 0.0)
         metrics.gauge("sanitize.enabled").set(1.0 if sanitize else 0.0)
     if shards > 0:
         return _run_lineup_sharded(
             dataset_name, a_codes, d_codes, tree_height, buffer_pages,
             page_size, algorithms, collect, faults, retry, tracer, metrics,
-            workers, parallel_mode, algorithm_workers, batch_size,
+            workers, parallel_mode, algorithm_workers,
             flat_index, sanitize, shards, shard_level,
         )
     if workers > 1:
         return _run_lineup_parallel(
             dataset_name, a_codes, d_codes, tree_height, buffer_pages,
             page_size, algorithms, collect, faults, retry, tracer, metrics,
-            workers, parallel_mode, algorithm_workers, batch_size,
+            workers, parallel_mode, algorithm_workers,
             flat_index, sanitize,
         )
 
-    with batch.batch_scope(batch_size), flat.flat_scope(
-        flat_index
-    ), sanitizer.sanitize_scope(sanitize):
+    with flat.flat_scope(flat_index), sanitizer.sanitize_scope(sanitize):
         bench = Workbench.create(
             buffer_pages, page_size, faults=faults, retry=retry
         )
@@ -406,7 +394,6 @@ def _run_lineup_parallel(
     workers: int,
     parallel_mode: Optional[str],
     algorithm_workers: int,
-    batch_size: int,
     flat_index: bool,
     sanitize: bool,
 ) -> LineupResult:
@@ -446,7 +433,6 @@ def _run_lineup_parallel(
             retry=retry,
             traced=traced,
             algorithm_workers=algorithm_workers,
-            batch_size=batch_size,
             flat_index=flat_index,
             sanitize=sanitize,
         )
@@ -512,7 +498,6 @@ def _run_lineup_sharded(
     workers: int,
     parallel_mode: Optional[str],
     algorithm_workers: int,
-    batch_size: int,
     flat_index: bool,
     sanitize: bool,
     shards: int,
@@ -558,7 +543,6 @@ def _run_lineup_sharded(
             retry=retry,
             tracer=tracer,
             algorithm_workers=algorithm_workers,
-            batch_size=batch_size,
             flat_index=flat_index,
             sanitize=sanitize,
         )

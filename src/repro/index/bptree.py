@@ -26,7 +26,6 @@ import struct
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
-from ..core import batch as batch_module
 from ..storage.buffer import BufferManager
 from .staleness import StaleGuard
 
@@ -76,10 +75,9 @@ class BPlusTree(StaleGuard):
         self.height = 0
         self.num_entries = 0
         self.num_nodes = 0
-        #: decoded-node cache, populated only while batching is enabled.
-        #: Every hit still pins/unpins the page, so buffer and I/O
-        #: accounting stay identical to the uncached path; only the
-        #: repeated per-entry decode is skipped.  Writes invalidate.
+        #: decoded-node cache.  Every hit still pins/unpins the page, so
+        #: buffer and I/O accounting stay identical to an uncached read;
+        #: only the repeated decode is skipped.  Writes invalidate.
         self._node_cache: dict[int, _Node] = {}
         #: bulk-load layout record: page ids of each level in build
         #: order — ``level_pages[0]`` is the leaf chain left to right,
@@ -133,42 +131,24 @@ class BPlusTree(StaleGuard):
             data = frame.data
             node_type, count, link = _HEADER.unpack_from(data, 0)
             node = _Node(page_id, node_type == _LEAF)
-            batched = batch_module.batching_enabled()
             if node.is_leaf:
                 node.next_leaf = None if link == _NO_PAGE else link
-                if batched and count:
-                    # one bulk unpack + extended slices instead of a
-                    # per-entry loop; formats are explicitly "<" so the
-                    # decode stays endianness-faithful
-                    flat = struct.unpack_from(
-                        "<" + "Q" * (2 * count), data, _HEADER_SIZE
-                    )
-                    node.keys = list(flat[0::2])
-                    node.values = list(flat[1::2])
-                else:
-                    offset = _HEADER_SIZE
-                    for _ in range(count):
-                        key, value = _LEAF_ENTRY.unpack_from(data, offset)
-                        node.keys.append(key)
-                        node.values.append(value)
-                        offset += _LEAF_ENTRY.size
+                # one bulk unpack + extended slices instead of a
+                # per-entry loop; formats are explicitly "<" so the
+                # decode stays endianness-faithful
+                flat = struct.unpack_from(
+                    "<" + "Q" * (2 * count), data, _HEADER_SIZE
+                )
+                node.keys = list(flat[0::2])
+                node.values = list(flat[1::2])
             else:
                 node.children.append(link)
-                if batched and count:
-                    flat = struct.unpack_from(
-                        "<" + "QII" * count, data, _HEADER_SIZE
-                    )
-                    node.keys = list(flat[0::3])
-                    node.children.extend(flat[1::3])
-                else:
-                    offset = _HEADER_SIZE
-                    for _ in range(count):
-                        key, child, _pad = _INT_ENTRY.unpack_from(data, offset)
-                        node.keys.append(key)
-                        node.children.append(child)
-                        offset += _INT_ENTRY.size
-            if batched:
-                self._node_cache[page_id] = node
+                flat = struct.unpack_from(
+                    "<" + "QII" * count, data, _HEADER_SIZE
+                )
+                node.keys = list(flat[0::3])
+                node.children.extend(flat[1::3])
+            self._node_cache[page_id] = node
             return node
         finally:
             self.bufmgr.unpin(page_id)

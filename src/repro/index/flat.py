@@ -27,17 +27,16 @@ same one-decode-per-page cost.
   cutting each start-ascending or end-descending list prefix with one
   binary search per page instead of a per-record comparison loop.
 
-Accounting contract (the differential-oracle rule of
-docs/batched-execution.md): every probe pins and unpins exactly the
-pages the pointer oracle would, in the same order — a flat cache hit
-still costs one real buffer access, and an evicted page is re-read
-from disk exactly as the pointer path would.  ``JoinReport`` therefore
-stays field-for-field equal; only the Python-level decode work is
-removed.  The switch below mirrors :mod:`repro.core.batch`: flat
-indexes are built only while :func:`flat_enabled` is true (set
-programmatically, via :func:`flat_scope`, or the ``REPRO_FLAT_INDEX``
-environment variable), and the pointer indexes remain the oracle the
-differential suite (tests/test_flat_index.py) compares against.
+Accounting contract (the rule of docs/batched-execution.md): every
+probe pins and unpins exactly the pages the pointer oracle would, in
+the same order — a flat cache hit still costs one real buffer access,
+and an evicted page is re-read from disk exactly as the pointer path
+would.  ``JoinReport`` therefore stays field-for-field equal; only the
+Python-level decode work is removed.  Flat indexes are built only
+while :func:`flat_enabled` is true (set programmatically, via
+:func:`flat_scope`, or the ``REPRO_FLAT_INDEX`` environment variable),
+and the pointer indexes remain the oracle the differential suite
+(tests/test_flat_index.py) compares against.
 """
 
 from __future__ import annotations
@@ -66,13 +65,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the oracle switch (mirrors repro.core.batch's batch-size switch)
+# the oracle switch
 # ---------------------------------------------------------------------------
 _flat_default = False
 
 #: per-context override set by :func:`flat_scope` — a ``ContextVar`` so
 #: one tenant's scope cannot flip another in-flight query's index mode
-#: (see :mod:`repro.core.batch` for the full rationale).
+#: (threads and asyncio tasks each see their own context), while the
+#: process-wide default set by the env var / CLI /
+#: :func:`set_flat_enabled` holds for every context with no scope.
 _flat_var: ContextVar[Optional[bool]] = ContextVar("repro_flat_index", default=None)
 
 

@@ -9,9 +9,9 @@ re-scanning cost of MPMGJN becomes visible in the I/O counters.
 Batched extensions (``next_batch``/``iter_batches``/``seek`` plus the
 cached per-page ``page_starts``/``page_doc_keys`` arrays) consume runs
 of codes without the per-element ``advance()`` call.  They load pages
-through exactly the same ``_load_page`` path, in exactly the order the
-scalar loop would, so I/O and buffer accounting are identical; only the
-Python-level per-element overhead disappears.
+through exactly the same ``_load_page`` path, in exactly the order
+repeated ``advance()`` calls would, so I/O and buffer accounting are
+identical; only the Python-level per-element overhead disappears.
 """
 
 from __future__ import annotations
@@ -56,28 +56,17 @@ class SetCursor:
         self._doc_keys = None
         if self._page_index < heap.num_pages:
             try:
-                if batch.batching_enabled():
-                    # element-set heaps store single-code rows, so the
-                    # page's flat field array (copied out of the pin by
-                    # read_page_array) is its code array; the cursor
-                    # caches it past the unpin, which is legal only
-                    # because read_page_array returns an owned copy —
-                    # its borrow of the raw view is registered with the
-                    # sanitizer inside the pin window
-                    self._page = cast(
-                        "Sequence[PBiCode]",
-                        heap.read_page_array(self._page_index),
-                    )
-                else:
-                    # one cast per page: record[0] is a PBiCode by
-                    # construction
-                    self._page = cast(
-                        "list[PBiCode]",
-                        [
-                            record[0]
-                            for record in heap.read_page(self._page_index)
-                        ],
-                    )
+                # element-set heaps store single-code rows, so the
+                # page's flat field array (copied out of the pin by
+                # read_page_array) is its code array; the cursor caches
+                # it past the unpin, which is legal only because
+                # read_page_array returns an owned copy — its borrow of
+                # the raw view is registered with the sanitizer inside
+                # the pin window
+                self._page = cast(
+                    "Sequence[PBiCode]",
+                    heap.read_page_array(self._page_index),
+                )
             except StorageFault as fault:
                 # Leave the cursor in a defined (exhausted) state and
                 # fail fast — a half-loaded page must never be scanned.
@@ -191,11 +180,11 @@ class SetCursor:
     ) -> Iterator[list[PBiCode]]:
         """Yield successive :meth:`next_batch` chunks until exhausted.
 
-        ``size=None`` uses the configured batch size; a non-positive
-        size falls back to one chunk per remaining page.
+        ``size=None`` uses :data:`~repro.core.batch.DEFAULT_BATCH_SIZE`;
+        a non-positive size falls back to one chunk per remaining page.
         """
         if size is None:
-            size = batch.get_batch_size()
+            size = batch.DEFAULT_BATCH_SIZE
         while self._page is not None:
             limit = size if size > 0 else len(self._page) - self._slot
             yield self.next_batch(limit)

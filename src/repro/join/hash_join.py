@@ -4,12 +4,14 @@ SHCJ reduces a containment join to the equijoin
 ``A JOIN D ON A.code = F(D.code, h)`` (Algorithm 2); this module
 provides the two standard evaluation strategies:
 
-* :func:`in_memory_hash_join` — build side fits in the buffer: build a
-  hash table over it, stream the probe side (I/O ``||A|| + ||D||``);
+* :func:`in_memory_hash_join_codes` — build side fits in the buffer:
+  build a hash table over it, stream the probe side
+  (I/O ``||A|| + ||D||``), keys computed one page per kernel call;
 * :class:`GracePartitioner` / :func:`grace_hash_join` — neither fits:
   hash-partition both inputs into ``k`` co-buckets (one page of output
-  buffer per bucket), then join bucket pairs in memory
-  (I/O ``3(||A|| + ||D||)``, the figure the paper quotes).
+  buffer per bucket), then join each bucket pair in memory with
+  :func:`in_memory_hash_join` (I/O ``3(||A|| + ||D||)``, the figure the
+  paper quotes).
 
 Keys are computed on the fly from the stored records by caller-supplied
 key functions, so the ``F`` conversion never touches disk — the paper's
@@ -85,14 +87,12 @@ def in_memory_hash_join_codes(
 ) -> None:
     """Batched build/probe hash join over pages of single-code records.
 
-    The bulk-key variant of :func:`in_memory_hash_join`: keys for a
-    whole page are computed by one kernel call (see
+    Keys for a whole page are computed by one kernel call (see
     :mod:`repro.core.batch`) instead of one Python call per record.  A
     key of ``0`` marks a filtered record — PBiTree codes are >= 1, so
     ``0`` can never be a build key and filtered probe records miss the
-    table without an explicit branch.  Bucket insertion order, probe
-    order and emit order are identical to the scalar function's, so the
-    two are drop-in interchangeable.
+    table without an explicit branch.  Buckets keep build-scan order,
+    so pairs are emitted in probe order, then build order.
     """
     table: dict[int, list[int]] = {}
     for codes in build_pages:

@@ -58,30 +58,22 @@ def build_start_index(
     pages and build I/O, flat-array probe path — otherwise the pointer
     B+-tree (the differential oracle).
     """
-    batched = batch.batching_enabled()
     sorted_heap = external_sort(
         elements.heap,
         key=lambda record: pbitree.doc_order_key(PBiCode(record[0])),
-        run_sort=sort_codes_doc_order if batched else None,
-        bulk_key=bulk_doc_order_keys if batched else None,
+        run_sort=sort_codes_doc_order,
+        bulk_key=bulk_doc_order_keys,
     )
-    if batch.batching_enabled():
 
-        def bulk_entries():
-            # one starts() kernel call per page; the zipped ints are
-            # materialised while the page is pinned
-            for fields in sorted_heap.scan_page_arrays():
-                yield from zip(batch.starts(fields), fields)
+    def entries():
+        # one starts() kernel call per page; the zipped ints are
+        # materialised while the page is pinned
+        for fields in sorted_heap.scan_page_arrays():
+            yield from zip(batch.starts(fields), fields)
 
-        entries = bulk_entries()
-    else:
-        entries = (
-            (pbitree.start_of(PBiCode(record[0])), record[0])
-            for record in sorted_heap.scan()
-        )
     index_cls: type[BPlusTree] = FlatStartIndex if flat_enabled() else BPlusTree
     index = index_cls.bulk_load(
-        bufmgr, entries, name=name or f"{elements.name}.start"
+        bufmgr, entries(), name=name or f"{elements.name}.start"
     )
     sorted_heap.destroy()
     return index
@@ -187,39 +179,25 @@ class IndexNestedLoopJoin(JoinAlgorithm):
         ancestors: ElementSet, index: BPlusTree, sink: JoinSink
     ) -> None:
         emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        region_of = pbitree.region_of
-        if batch.batching_enabled():
-            if isinstance(index, FlatStartIndex):
-                # flat fast path: one bulk range_values probe per
-                # ancestor (same pages and pins as the range scan,
-                # array-slice extraction instead of generator steps)
-                for a_page in ancestors.scan_pages():
-                    for a_code, (start, end) in zip(
-                        a_page, batch.regions(a_page)
-                    ):
-                        for d_code in batch.descendants_in(
-                            a_code, index.range_values(start, end)
-                        ):
-                            emit(a_code, d_code)
-                return
-            # bulk-collect each range scan's candidates, then verify
-            # them with one descendants_in kernel call per ancestor
+        if isinstance(index, FlatStartIndex):
+            # flat fast path: one bulk range_values probe per ancestor
+            # (same pages and pins as the range scan, array-slice
+            # extraction instead of generator steps)
             for a_page in ancestors.scan_pages():
-                for a_code, (start, end) in zip(
-                    a_page, batch.regions(a_page)
-                ):
-                    candidates = [
-                        value for _key, value in index.range_scan(start, end)
-                    ]
-                    for d_code in batch.descendants_in(a_code, candidates):
+                for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
+                    for d_code in batch.descendants_in(
+                        a_code, index.range_values(start, end)
+                    ):
                         emit(a_code, d_code)
             return
-        for a_code in ancestors.scan():
-            start, end = region_of(a_code)
-            for _key, value in index.range_scan(start, end):
-                d_code = PBiCode(value)
-                if is_ancestor(a_code, d_code):
+        # bulk-collect each range scan's candidates, then verify them
+        # with one descendants_in kernel call per ancestor
+        for a_page in ancestors.scan_pages():
+            for a_code, (start, end) in zip(a_page, batch.regions(a_page)):
+                candidates = [
+                    value for _key, value in index.range_scan(start, end)
+                ]
+                for d_code in batch.descendants_in(a_code, candidates):
                     emit(a_code, d_code)
 
     @staticmethod
@@ -228,32 +206,23 @@ class IndexNestedLoopJoin(JoinAlgorithm):
     ) -> None:
         """``index`` is any stab-capable structure (interval or XR tree)."""
         emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        start_of = pbitree.start_of
-        if batch.batching_enabled():
-            if isinstance(index, FlatIntervalTree):
-                # flat fast path: one bulk stab_codes probe per
-                # descendant (same pages and pins as the stab,
-                # payload-slice extraction instead of interval tuples)
-                for d_page in descendants.scan_pages():
-                    for d_code, point in zip(d_page, batch.starts(d_page)):
-                        for a_code in batch.ancestors_in(
-                            d_code, index.stab_codes(point)
-                        ):
-                            emit(a_code, d_code)
-                return
-            # bulk starts per page, stab candidates verified with one
-            # ancestors_in kernel call per descendant
+        if isinstance(index, FlatIntervalTree):
+            # flat fast path: one bulk stab_codes probe per descendant
+            # (same pages and pins as the stab, payload-slice extraction
+            # instead of interval tuples)
             for d_page in descendants.scan_pages():
                 for d_code, point in zip(d_page, batch.starts(d_page)):
-                    candidates = [a for _s, _e, a in index.stab(point)]
-                    for a_code in batch.ancestors_in(d_code, candidates):
+                    for a_code in batch.ancestors_in(
+                        d_code, index.stab_codes(point)
+                    ):
                         emit(a_code, d_code)
             return
-        for d_code in descendants.scan():
-            point = start_of(d_code)
-            for _s, _e, a_code in index.stab(point):
-                if is_ancestor(a_code, d_code):
+        # bulk starts per page, stab candidates verified with one
+        # ancestors_in kernel call per descendant
+        for d_page in descendants.scan_pages():
+            for d_code, point in zip(d_page, batch.starts(d_page)):
+                candidates = [a for _s, _e, a in index.stab(point)]
+                for a_code in batch.ancestors_in(d_code, candidates):
                     emit(a_code, d_code)
 
     def _cleanup(self, prepared, ancestors, descendants) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Callable
 
-from ..core import batch, pbitree
+from ..core import batch
 from ..core.pbitree import PBiCode
 from ..sort.external_sort import external_sort_set
 from ..storage.buffer import BufferManager
@@ -53,41 +53,12 @@ class MPMGJoin(JoinAlgorithm):
 
     def _execute(self, prepared, sink: JoinSink, bufmgr: BufferManager) -> JoinReport:
         sorted_a, _temp_a, sorted_d, _temp_d = prepared
-        emit = sink.emit
-        is_ancestor = pbitree.is_ancestor
-        start_of = pbitree.start_of
-        end_of = pbitree.end_of
-
         with self.trace("mpmgjn.merge"):
-            d_cursor = SetCursor(sorted_d)
-            if batch.batching_enabled():
-                self._merge_batched(sorted_a, d_cursor, emit)
-            else:
-                for a_code in sorted_a.scan():
-                    a_start = start_of(a_code)
-                    a_end = end_of(a_code)
-                    # skip descendants that start strictly before this
-                    # ancestor: later ancestors start no earlier, so
-                    # these can never match
-                    while (
-                        d_cursor.current is not None
-                        and start_of(d_cursor.current) < a_start
-                    ):
-                        d_cursor.advance()
-                    mark = d_cursor.save()
-                    while d_cursor.current is not None:
-                        d_code = d_cursor.current
-                        if start_of(d_code) > a_end:
-                            break
-                        if is_ancestor(a_code, d_code):
-                            emit(a_code, d_code)
-                        d_cursor.advance()
-                    # rewind: the next ancestor may contain this segment
-                    d_cursor.restore(mark)
+            self._merge(sorted_a, SetCursor(sorted_d), sink.emit)
         return JoinReport(algorithm=self.name, result_count=sink.count)
 
     @staticmethod
-    def _merge_batched(
+    def _merge(
         sorted_a: ElementSet,
         d_cursor: SetCursor,
         emit: Callable[[PBiCode, PBiCode], None],
@@ -98,9 +69,10 @@ class MPMGJoin(JoinAlgorithm):
         array for the first code not strictly before the ancestor; the
         scan phase bisects for the first code past the ancestor's region
         end and verifies the window with one ``descendants_in`` kernel
-        call.  ``seek`` rolls across page boundaries exactly where the
-        scalar ``advance`` loop would, so page loads (and therefore the
-        re-scan I/O that defines MPMGJN's cost profile) are identical.
+        call.  ``seek`` rolls across page boundaries exactly where
+        element-by-element ``advance`` calls would, so page loads (and
+        therefore the re-scan I/O that defines MPMGJN's cost profile)
+        are those of the textbook merge.
         """
         for a_page in sorted_a.scan_pages():
             for a_code, (a_start, a_end) in zip(a_page, batch.regions(a_page)):

@@ -26,12 +26,10 @@ lists of ints — safe for both ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypedDict
+from typing import Any, Callable, Optional, Sequence, TypedDict
 
-from ..core import batch, pbitree
-from ..core.pbitree import PBiCode
+from ..core import batch
 from ..index import flat
 from ..obs.export import trace_to_jsonl
 from ..storage import sanitize as sanitize_module
@@ -127,10 +125,6 @@ class MemJoinTask:
     replicated-ancestor de-duplication; the parent only chunks the
     ancestor stream when it is ``None`` (the dedup set must see the
     whole stream).
-
-    ``batch_size`` is shipped explicitly because ``spawn`` workers do
-    not inherit the parent's :mod:`repro.core.batch` module state; 0
-    selects the scalar kernel (the differential oracle).
     """
 
     label: str
@@ -140,58 +134,23 @@ class MemJoinTask:
     dedup_above_height: Optional[int]
     collect: bool
     traced: bool
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
 
 
 def _memjoin_kernel(task: MemJoinTask, emit: Callable[[int, int], None]) -> None:
-    if task.batch_size > 0:
-        if task.d_fits:
-            batch.region_probe(
-                task.a_codes,
-                sorted(task.d_codes),
-                emit,
-                task.dedup_above_height,
-                set(),
-            )
-        else:
-            tables: dict[int, set[int]] = {}
-            batch.build_height_tables(task.a_codes, tables)
-            batch.height_probe(
-                tables, sorted(tables, reverse=True), task.d_codes, emit
-            )
-        return
-    region_of = pbitree.region_of
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
     if task.d_fits:
-        d_codes = sorted(task.d_codes)
-        dedup = task.dedup_above_height
-        seen_high: set[int] = set()
-        for a_code in task.a_codes:
-            if dedup is not None and height_of(PBiCode(a_code)) > dedup:
-                if a_code in seen_high:
-                    continue
-                seen_high.add(a_code)
-            start, end = region_of(PBiCode(a_code))
-            lo = bisect_left(d_codes, start)
-            hi = bisect_right(d_codes, end)
-            for d_code in d_codes[lo:hi]:
-                if a_code != d_code:
-                    emit(a_code, d_code)
+        batch.region_probe(
+            task.a_codes,
+            sorted(task.d_codes),
+            emit,
+            task.dedup_above_height,
+            set(),
+        )
     else:
-        # hash sets de-duplicate replicated ancestors by construction
-        by_height: dict[int, set[int]] = {}
-        for a_code in task.a_codes:
-            by_height.setdefault(height_of(PBiCode(a_code)), set()).add(a_code)
-        heights = sorted(by_height, reverse=True)
-        for d_code in task.d_codes:
-            d_height = height_of(PBiCode(d_code))
-            for height in heights:
-                if height <= d_height:
-                    break
-                anc = f_ancestor(PBiCode(d_code), height)
-                if anc in by_height[height]:
-                    emit(anc, d_code)
+        tables: dict[int, set[int]] = {}
+        batch.build_height_tables(task.a_codes, tables)
+        batch.height_probe(
+            tables, sorted(tables, reverse=True), task.d_codes, emit
+        )
 
 
 def run_memjoin_task(task: MemJoinTask) -> TaskResult:
@@ -241,41 +200,19 @@ class HeightProbeTask:
     d_codes: list[int]
     collect: bool
     traced: bool
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
 
 
 def _height_probe_kernel(
     task: HeightProbeTask, emit: Callable[[int, int], None]
 ) -> int:
-    if task.batch_size > 0:
-        table: dict[int, list[int]] = {}
-        for effective, original in task.a_pairs:
-            bucket = table.get(effective)
-            if bucket is None:
-                table[effective] = [original]
-            else:
-                bucket.append(original)
-        return batch.height_class_probe(table, task.height, task.d_codes, emit)
-    height_of = pbitree.height_of
-    f_ancestor = pbitree.f_ancestor
-    is_ancestor = pbitree.is_ancestor
-    height = task.height
-    false_hits = 0
-    table: dict[int, list[tuple[int, int]]] = {}
-    for pair in task.a_pairs:
-        table.setdefault(pair[0], []).append(pair)
-    for d_code in task.d_codes:
-        if height_of(PBiCode(d_code)) >= height:
-            continue
-        anc = f_ancestor(PBiCode(d_code), height)
-        for effective, original in table.get(anc, ()):
-            if effective == original:
-                emit(original, d_code)
-            elif is_ancestor(PBiCode(original), PBiCode(d_code)):
-                emit(original, d_code)
-            else:
-                false_hits += 1
-    return false_hits
+    table: dict[int, list[int]] = {}
+    for effective, original in task.a_pairs:
+        bucket = table.get(effective)
+        if bucket is None:
+            table[effective] = [original]
+        else:
+            bucket.append(original)
+    return batch.height_class_probe(table, task.height, task.d_codes, emit)
 
 
 def run_height_probe_task(task: HeightProbeTask) -> TaskResult:
@@ -330,11 +267,9 @@ class LineupTask:
     retry: Optional[RetryPolicy]
     traced: bool
     algorithm_workers: int = 1
-    #: the parent's batch size, shipped explicitly (``spawn`` workers
-    #: do not inherit module state); applied to the worker's whole run
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
-    #: the parent's flat-index switch, shipped the same way: on-the-fly
-    #: index builds in the worker must match the parent's serial run
+    #: the parent's flat-index switch, shipped explicitly (``spawn``
+    #: workers do not inherit module state): on-the-fly index builds in
+    #: the worker must match the parent's serial run
     flat_index: bool = False
     #: the parent's view-lifetime sanitizer bit, shipped the same way —
     #: a sanitized parallel run must sanitize every worker bench too
@@ -385,8 +320,19 @@ def fault_from_payload(payload: dict[str, Any]) -> StorageFault:
     return fault
 
 
-def run_lineup_task(task: LineupTask) -> LineupTaskResult:
-    """Run one algorithm cold on a fresh workbench (worker side)."""
+def _run_cold(
+    task: "LineupTask | SlotJoinTask", label: str
+) -> tuple[LineupTaskResult, Sequence[tuple[int, int]]]:
+    """Build a fresh workbench from the task's codes and run it cold.
+
+    Returns the run's result payload plus the sink's pairs (empty
+    unless the task collects).
+
+    Worker processes start with the module defaults, and an inline
+    worker shares the parent's, so the task's flat-index and sanitizer
+    bits are pinned with context-local scopes for this run only — never
+    written into the process-wide defaults.
+    """
     # imported lazily: the harness imports the join operators, which
     # import this package — a module-level import would be circular
     from ..experiments.harness import (
@@ -397,68 +343,63 @@ def run_lineup_task(task: LineupTask) -> LineupTaskResult:
     )
     from ..join.base import JoinSink
 
-    # worker processes start with the module defaults; mirror the
-    # parent's configured batch size, flat-index switch and sanitizer
-    # bit before any operator runs
-    batch.set_batch_size(task.batch_size)
-    flat.set_flat_enabled(task.flat_index)
-    sanitize_module.set_sanitize_enabled(task.sanitize)
-    bench = Workbench.create(
-        task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
-    )
-    ancestors = materialize(
-        bench.bufmgr, task.a_codes, task.tree_height, f"{task.dataset}.A"
-    )
-    descendants = materialize(
-        bench.bufmgr, task.d_codes, task.tree_height, f"{task.dataset}.D"
-    )
-    algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
-    sink = JoinSink("collect" if task.collect else "count")
-    tracer = Tracer() if task.traced else None
+    with flat.flat_scope(task.flat_index), sanitize_module.sanitize_scope(
+        task.sanitize
+    ):
+        bench = Workbench.create(
+            task.buffer_pages, task.page_size,
+            faults=task.faults, retry=task.retry,
+        )
+        ancestors = materialize(
+            bench.bufmgr, task.a_codes, task.tree_height, f"{label}.A"
+        )
+        descendants = materialize(
+            bench.bufmgr, task.d_codes, task.tree_height, f"{label}.D"
+        )
+        algorithm = make_algorithm(
+            task.algorithm, workers=task.algorithm_workers
+        )
+        sink = JoinSink("collect" if task.collect else "count")
+        tracer = Tracer() if task.traced else None
+        report: Optional[Any] = None
+        fault: Optional[dict[str, Any]] = None
+        try:
+            report = run_algorithm(
+                algorithm, ancestors, descendants, sink, tracer=tracer
+            )
+        except StorageFault as exc:
+            fault = fault_to_payload(exc)
+        else:
+            # the trace is shipped as JSON lines (span objects hold a
+            # tracer reference, which drags the whole workbench into
+            # the pickle)
+            report.trace = None
 
-    def buffer_gauges() -> dict[str, float]:
-        return {
+    injector = bench.disk.faults
+    stats = injector.stats if injector is not None else None
+    return LineupTaskResult(
+        report=report,
+        fault=fault,
+        trace=trace_to_jsonl(tracer) if tracer is not None else None,
+        buffer={
             "hits": float(bench.bufmgr.hits),
             "misses": float(bench.bufmgr.misses),
             "resident": float(bench.bufmgr.num_resident),
             "pinned": float(bench.bufmgr.num_pinned),
-        }
-
-    def fault_stats() -> Optional[dict[str, int]]:
-        injector = bench.disk.faults
-        if injector is None:
-            return None
-        stats = injector.stats
-        return {
+        },
+        fault_stats=None if stats is None else {
             "read_errors": stats.read_errors,
             "write_errors": stats.write_errors,
             "torn_reads": stats.torn_reads,
             "latency_events": stats.latency_events,
             "scheduled_fired": stats.scheduled_fired,
-        }
+        },
+    ), sink.pairs
 
-    try:
-        report = run_algorithm(
-            algorithm, ancestors, descendants, sink, tracer=tracer
-        )
-    except StorageFault as fault:
-        return LineupTaskResult(
-            report=None,
-            fault=fault_to_payload(fault),
-            trace=trace_to_jsonl(tracer) if tracer is not None else None,
-            buffer=buffer_gauges(),
-            fault_stats=fault_stats(),
-        )
-    # the trace is shipped as JSON lines (span objects hold a tracer
-    # reference, which drags the whole workbench into the pickle)
-    report.trace = None
-    return LineupTaskResult(
-        report=report,
-        fault=None,
-        trace=trace_to_jsonl(tracer) if tracer is not None else None,
-        buffer=buffer_gauges(),
-        fault_stats=fault_stats(),
-    )
+
+def run_lineup_task(task: LineupTask) -> LineupTaskResult:
+    """Run one algorithm cold on a fresh workbench (worker side)."""
+    return _run_cold(task, task.dataset)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +411,7 @@ class SlotJoinTask:
 
     Same contract as :class:`LineupTask` — the worker builds its own
     complete workbench from the shipped slot codes, mirrors the
-    parent's batch/flat/sanitize switches, and sends structured fault
+    parent's flat/sanitize switches, and sends structured fault
     payloads — plus the emitted pairs travel back when ``collect`` is
     set.  ``label`` feeds heap names and the trace span; it must be
     derived from the *slot* alone (never the shard or worker), so the
@@ -489,81 +430,21 @@ class SlotJoinTask:
     retry: Optional[RetryPolicy]
     traced: bool
     algorithm_workers: int = 1
-    batch_size: int = batch.DEFAULT_BATCH_SIZE
     flat_index: bool = False
     sanitize: bool = False
 
 
 def run_slot_join_task(task: SlotJoinTask) -> SlotTaskResult:
     """Run one slot's join cold on a fresh workbench (worker side)."""
-    # imported lazily for the same circularity reason as run_lineup_task
-    from ..experiments.harness import (
-        Workbench,
-        make_algorithm,
-        materialize,
-        run_algorithm,
-    )
-    from ..join.base import JoinSink
-
-    batch.set_batch_size(task.batch_size)
-    flat.set_flat_enabled(task.flat_index)
-    sanitize_module.set_sanitize_enabled(task.sanitize)
-    bench = Workbench.create(
-        task.buffer_pages, task.page_size, faults=task.faults, retry=task.retry
-    )
-    ancestors = materialize(
-        bench.bufmgr, task.a_codes, task.tree_height, f"{task.label}.A"
-    )
-    descendants = materialize(
-        bench.bufmgr, task.d_codes, task.tree_height, f"{task.label}.D"
-    )
-    algorithm = make_algorithm(task.algorithm, workers=task.algorithm_workers)
-    sink = JoinSink("collect" if task.collect else "count")
-    tracer = Tracer() if task.traced else None
-
-    def buffer_gauges() -> dict[str, float]:
-        return {
-            "hits": float(bench.bufmgr.hits),
-            "misses": float(bench.bufmgr.misses),
-            "resident": float(bench.bufmgr.num_resident),
-            "pinned": float(bench.bufmgr.num_pinned),
-        }
-
-    def fault_stats() -> Optional[dict[str, int]]:
-        injector = bench.disk.faults
-        if injector is None:
-            return None
-        stats = injector.stats
-        return {
-            "read_errors": stats.read_errors,
-            "write_errors": stats.write_errors,
-            "torn_reads": stats.torn_reads,
-            "latency_events": stats.latency_events,
-            "scheduled_fired": stats.scheduled_fired,
-        }
-
-    try:
-        report = run_algorithm(
-            algorithm, ancestors, descendants, sink, tracer=tracer
-        )
-    except StorageFault as fault:
-        return SlotTaskResult(
-            report=None,
-            pairs=None,
-            fault=fault_to_payload(fault),
-            trace=trace_to_jsonl(tracer) if tracer is not None else None,
-            buffer=buffer_gauges(),
-            fault_stats=fault_stats(),
-        )
-    report.trace = None
+    run, sink_pairs = _run_cold(task, task.label)
     pairs: Optional[list[tuple[int, int]]] = None
-    if task.collect:
-        pairs = [(int(a_code), int(d_code)) for a_code, d_code in sink.pairs]
+    if task.collect and run["report"] is not None:
+        pairs = [(int(a_code), int(d_code)) for a_code, d_code in sink_pairs]
     return SlotTaskResult(
-        report=report,
+        report=run["report"],
         pairs=pairs,
-        fault=None,
-        trace=trace_to_jsonl(tracer) if tracer is not None else None,
-        buffer=buffer_gauges(),
-        fault_stats=fault_stats(),
+        fault=run["fault"],
+        trace=run["trace"],
+        buffer=run["buffer"],
+        fault_stats=run["fault_stats"],
     )

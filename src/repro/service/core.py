@@ -75,7 +75,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..core import batch as batch_module
 from ..datatree.paths import PathQuery
 from ..db import ContainmentDatabase, Document
 from ..index import flat as flat_module
@@ -290,7 +289,6 @@ class QueryService:
             document.name,
             path,
             self.db.codec.name,
-            batch_module.batching_enabled(),
             flat_module.flat_enabled(),
             document.store.version,
             fingerprints,
@@ -439,7 +437,7 @@ class QueryService:
                     key,
                     PlanEntry(
                         direction=result.direction,
-                        cells=key[7],
+                        cells=key[-1],
                         estimated_cost=result.estimated_cost,
                     ),
                 )

@@ -13,7 +13,7 @@ al.'s revisit of containment-join selection):
 
 * the document and path;
 * the containment **codec** backing the document;
-* the **batch / flat execution switches** (they change the operators'
+* the **flat-index execution switch** (it changes the operators'
   access patterns, hence the cost picture);
 * the **document-store version** — bumped every time buffered updates
   apply to pages (``DocumentStore.pending_updates`` draining), which is
@@ -59,7 +59,6 @@ PlanKey = Tuple[
     str,  # document name
     str,  # path
     str,  # codec name
-    bool,  # batching enabled
     bool,  # flat indexes enabled
     int,  # document-store version
     Tuple[StepFingerprint, ...],

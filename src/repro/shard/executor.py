@@ -162,7 +162,6 @@ class ShardedJoinExecutor:
         retry: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         algorithm_workers: int = 1,
-        batch_size: Optional[int] = None,
         flat_index: Optional[bool] = None,
         sanitize: Optional[bool] = None,
     ) -> tuple[JoinReport, Optional[list[tuple[int, int]]]]:
@@ -175,7 +174,6 @@ class ShardedJoinExecutor:
         """
         # imported lazily: the harness imports the join operators,
         # which import repro.parallel — same cycle as parallel.tasks
-        from ..core import batch
         from ..experiments.harness import make_algorithm
         from ..index import flat
         from ..storage import sanitize as sanitize_module
@@ -187,8 +185,6 @@ class ShardedJoinExecutor:
                 "fresh injector from a slot-derived seed)"
             )
         make_algorithm(algorithm)  # reject unknown names before spawning
-        if batch_size is None:
-            batch_size = batch.get_batch_size()
         if flat_index is None:
             flat_index = flat.flat_enabled()
         if sanitize is None:
@@ -218,7 +214,6 @@ class ShardedJoinExecutor:
                     retry=retry,
                     traced=traced,
                     algorithm_workers=algorithm_workers,
-                    batch_size=batch_size,
                     flat_index=flat_index,
                     sanitize=sanitize,
                 )

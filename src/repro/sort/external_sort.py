@@ -47,7 +47,7 @@ def sort_codes_doc_order(
     Decorate-sort-undecorate through the packed doc-order key (one
     kernel call) instead of a Python ``key`` callback per record.  The
     packed key orders and ties exactly like ``doc_order_key`` tuples,
-    so runs come out identical to the scalar sort's.
+    so runs come out identical to a ``key=doc_order_key`` sort.
     """
     return [(c,) for c in batch.sort_doc_order([r[0] for r in records])]
 
@@ -208,14 +208,13 @@ def external_sort_set(
     This is the "custom sorting routine" of Section 3.1: codes are
     converted to region order on the fly inside the sort key.
     """
-    batched = batch.batching_enabled()
     sorted_heap = external_sort(
         elements.heap,
         key=lambda record: pbitree.doc_order_key(record[0]),
         buffer_pages=buffer_pages,
         destroy_input=destroy_input,
-        run_sort=sort_codes_doc_order if batched else None,
-        bulk_key=bulk_doc_order_keys if batched else None,
+        run_sort=sort_codes_doc_order,
+        bulk_key=bulk_doc_order_keys,
     )
     return ElementSet(
         sorted_heap,

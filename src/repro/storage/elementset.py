@@ -70,28 +70,17 @@ class ElementSet:
                 "storage code space (Section 2.3.3: pathologically deep trees "
                 "need a wider record format)"
             )
-        heights: set[Height] = set()
-
-        def records() -> Iterator[tuple[int]]:
-            for code in codes:
-                heights.add(pbitree.height_of(code))
-                yield (code,)
-
-        if batch.batching_enabled():
-            # materialised list → bulk page packing in the heap writer
-            code_list = list(codes)
-            heights.update(batch.heights(code_list))
-            heap = HeapFile.from_records(
-                bufmgr, CODE, [(code,) for code in code_list], name=name
-            )
-        else:
-            heap = HeapFile.from_records(bufmgr, CODE, records(), name=name)
+        # materialised list → bulk page packing in the heap writer
+        code_list = list(codes)
+        heap = HeapFile.from_records(
+            bufmgr, CODE, [(code,) for code in code_list], name=name
+        )
         return cls(
             heap,
             tree_height,
             name=name,
             sorted_by=sorted_by,
-            known_heights=frozenset(heights),
+            known_heights=frozenset(batch.heights(code_list)),
         )
 
     @classmethod
@@ -152,19 +141,12 @@ class ElementSet:
     def scan_pages(self) -> Iterator[list[PBiCode]]:
         """Yield the code list of each page.
 
-        With batching enabled the list is built in one pass from the
-        page's zero-copy field view (a single C-level loop) instead of
-        materialising a tuple per record; contents and page-access
-        order are identical either way.
+        The list is built in one pass from the page's zero-copy field
+        view (a single C-level loop) instead of materialising a tuple
+        per record.
         """
-        if batch.batching_enabled():
-            for fields in self.heap.scan_page_arrays():
-                yield cast("list[PBiCode]", list(fields))
-            return
-        for records in self.heap.scan_pages():
-            # one cast per page, not one constructor per record: stored
-            # codes are PBiCode by the from_codes invariant
-            yield cast("list[PBiCode]", [record[0] for record in records])
+        for fields in self.heap.scan_page_arrays():
+            yield cast("list[PBiCode]", list(fields))
 
     def scan_code_arrays(self, copy: bool = False) -> Iterator[Sequence[PBiCode]]:
         """Yield each page's codes as a zero-copy ``Q``-cast view.

@@ -35,12 +35,12 @@ static side is :mod:`repro.analysis.view_escape`):
 
 The mode is off by default and adds one predicate call per unpin when
 off.  Enable it with ``REPRO_SANITIZE=1``, :func:`set_sanitize_enabled`
-or the :func:`sanitize_scope` context manager (the switch trio mirrors
-:mod:`repro.core.batch` / :mod:`repro.index.flat`; spawn workers do not
-inherit module state, so parallel tasks carry the bit explicitly).
-Sanitized runs do no extra disk I/O, so ``JoinReport`` accounting stays
-field-for-field identical to unsanitized runs — the differential
-oracles (scalar-vs-batched, pointer-vs-flat) run unchanged under it.
+or the :func:`sanitize_scope` context manager (the switch pair mirrors
+:mod:`repro.index.flat`; spawn workers do not inherit module state, so
+parallel tasks carry the bit explicitly).  Sanitized runs do no extra
+disk I/O, so ``JoinReport`` accounting stays field-for-field identical
+to unsanitized runs — the golden line-up reports and the
+pointer-vs-flat oracle hold unchanged under it.
 
 The errors are deliberately *not* :class:`~repro.storage.faults.
 StorageFault` subclasses: they diagnose programming errors, not
@@ -120,9 +120,9 @@ class LiveViewAtEvictError(ViewSanitizerError):
 
 
 # ---------------------------------------------------------------------------
-# the mode switch (mirrors repro.core.batch / repro.index.flat)
+# the mode switch (mirrors repro.index.flat)
 # ---------------------------------------------------------------------------
-# Two layers, same as the batch-size and flat-index switches: a
+# Two layers, same as the flat-index switch: a
 # process-wide *default* (set at startup from the environment or via
 # :func:`set_sanitize_enabled`) and a :class:`~contextvars.ContextVar`
 # *override* that only :func:`sanitize_scope` writes.  Each thread and

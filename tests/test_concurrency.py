@@ -6,8 +6,8 @@ Each class pins one fix:
   histograms were plain ``+=`` read-modify-write; N threads hammering
   one registry must produce *exact* totals, not approximately-right
   ones that pass on a lucky interleaving.
-* :class:`TestScopeIsolation` — ``batch_scope`` / ``flat_scope`` /
-  ``sanitize_scope`` used to mutate module globals, so one thread's
+* :class:`TestScopeIsolation` — ``flat_scope`` / ``sanitize_scope``
+  used to mutate module globals, so one thread's
   scope leaked into every other thread mid-query.  They are
   contextvars now: two threads holding *opposing* scopes must each see
   their own value, and the process default must survive both.
@@ -25,7 +25,6 @@ import threading
 
 import pytest
 
-from repro.core.batch import batch_scope, get_batch_size
 from repro.index.bptree import BPlusTree
 from repro.index.flat import FlatStartIndex, flat_enabled, flat_scope
 from repro.index.staleness import StaleGuard, StaleIndexError
@@ -124,26 +123,32 @@ class TestMetricsHammer:
 
 
 class TestScopeIsolation:
-    def test_opposing_batch_scopes(self):
-        default = get_batch_size()
+    def test_opposing_combined_scopes(self):
+        # each thread holds both switches, crossed against the other's
+        defaults = (flat_enabled(), sanitize_enabled())
         barrier = threading.Barrier(2)
         observed = {}
 
-        def low():
-            with batch_scope(1):
+        def flat_only():
+            with flat_scope(True), sanitize_scope(False):
                 barrier.wait()  # both threads are now inside their scope
-                observed["low"] = get_batch_size()
+                observed["flat_only"] = (flat_enabled(), sanitize_enabled())
                 barrier.wait()
 
-        def high():
-            with batch_scope(512):
+        def sanitize_only():
+            with flat_scope(False), sanitize_scope(True):
                 barrier.wait()
-                observed["high"] = get_batch_size()
+                observed["sanitize_only"] = (
+                    flat_enabled(), sanitize_enabled()
+                )
                 barrier.wait()
 
-        run_threads([low, high])
-        assert observed == {"low": 1, "high": 512}
-        assert get_batch_size() == default
+        run_threads([flat_only, sanitize_only])
+        assert observed == {
+            "flat_only": (True, False),
+            "sanitize_only": (False, True),
+        }
+        assert (flat_enabled(), sanitize_enabled()) == defaults
 
     def test_opposing_flat_scopes(self):
         default = flat_enabled()
@@ -187,15 +192,20 @@ class TestScopeIsolation:
         assert observed == {"on": True, "off": False}
         assert sanitize_enabled() == default
 
-    def test_scope_does_not_leak_to_spawned_default(self):
+    @pytest.mark.parametrize(
+        "enabled, scope",
+        [(flat_enabled, flat_scope), (sanitize_enabled, sanitize_scope)],
+        ids=["flat", "sanitize"],
+    )
+    def test_scope_does_not_leak_to_spawned_default(self, enabled, scope):
         # a thread started *outside* any scope sees the process default
-        default = get_batch_size()
+        default = enabled()
         observed = {}
 
         def probe():
-            observed["value"] = get_batch_size()
+            observed["value"] = enabled()
 
-        with batch_scope(3):
+        with scope(not default):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()

@@ -36,7 +36,7 @@ from repro import (
     binarize,
     random_tree,
 )
-from repro.core import batch, pbitree as pt
+from repro.core import pbitree as pt
 from repro.experiments.harness import (
     Workbench,
     make_lineup,
@@ -269,8 +269,7 @@ def corpus_codes():
 
 class TestINLJNDifferential:
     @pytest.mark.parametrize("force_outer", ["A", "D"])
-    @pytest.mark.parametrize("batch_size", [0, 1024])
-    def test_reports_identical(self, force_outer, batch_size):
+    def test_reports_identical(self, force_outer):
         a_codes, d_codes, tree_height = corpus_codes()
         reports = {}
         pairs = {}
@@ -279,7 +278,7 @@ class TestINLJNDifferential:
             ancestors = materialize(wb.bufmgr, a_codes, tree_height, "A")
             descendants = materialize(wb.bufmgr, d_codes, tree_height, "D")
             sink = JoinSink("collect")
-            with batch.batch_scope(batch_size), flat.flat_scope(enabled):
+            with flat.flat_scope(enabled):
                 reports[enabled] = run_algorithm(
                     IndexNestedLoopJoin(force_outer=force_outer),
                     ancestors,
@@ -340,7 +339,7 @@ class TestFaultReplay:
             ancestors = materialize(wb.bufmgr, a_codes, tree_height, "A")
             descendants = materialize(wb.bufmgr, d_codes, tree_height, "D")
             sink = JoinSink("collect")
-            with batch.batch_scope(1024), flat.flat_scope(enabled):
+            with flat.flat_scope(enabled):
                 report = run_algorithm(
                     IndexNestedLoopJoin(force_outer=force_outer),
                     ancestors,

@@ -25,6 +25,7 @@ from repro import ContainmentDatabase, binarize, random_tree
 from repro.core.pbitree import is_ancestor, max_code
 from repro.datatree.paths import select_by_tag
 from repro.experiments.harness import run_lineup
+from repro.index.flat import flat_enabled, flat_scope
 from repro.obs.tracer import Tracer
 from repro.shard import (
     SHARDMAP_FORMAT,
@@ -36,6 +37,7 @@ from repro.shard import (
 )
 from repro.shard.executor import slot_fault_config
 from repro.storage.faults import FaultConfig
+from repro.storage.sanitize import sanitize_enabled, sanitize_scope
 from repro.workloads.synthetic import generate, spec_by_name
 
 #: chaos seed rotates in CI like the fault-injection suite's
@@ -283,6 +285,42 @@ class TestShardDifferential:
         assert report.result_count == len(expected)
         assert pairs is not None
         assert sorted(pairs) == expected
+
+
+# ---------------------------------------------------------------------------
+# inline workers keep the caller's switches scoped
+# ---------------------------------------------------------------------------
+class TestInlineWorkerSwitches:
+    """Tasks run inline in the parent (``workers == 1``, or
+    ``parallel_mode="inline"``) must apply their flat-index and
+    sanitizer bits for the task only, never as process defaults."""
+
+    @staticmethod
+    def _defaults():
+        return flat_enabled(), sanitize_enabled()
+
+    def _lineup(self, **kwargs):
+        data = dataset(large=300, small=60)
+        run_lineup(
+            "MSSL", data.a_codes, data.d_codes, data.tree_height,
+            buffer_pages=16, algorithms=["STACKTREE", "VPJ"], **kwargs,
+        )
+
+    def test_serial_sharded_lineup_leaves_defaults(self):
+        flat_default, sanitize_default = self._defaults()
+        with flat_scope(not flat_default), sanitize_scope(
+            not sanitize_default
+        ):
+            self._lineup(shards=2)
+        assert self._defaults() == (flat_default, sanitize_default)
+
+    def test_inline_parallel_lineup_leaves_defaults(self):
+        flat_default, sanitize_default = self._defaults()
+        self._lineup(
+            workers=2, parallel_mode="inline",
+            flat_index=not flat_default, sanitize=not sanitize_default,
+        )
+        assert self._defaults() == (flat_default, sanitize_default)
 
 
 # ---------------------------------------------------------------------------
